@@ -13,7 +13,6 @@
 #include <chrono>
 #include <filesystem>
 #include <thread>
-#include <unistd.h>
 
 #include "array/array_cache.hh"
 #include "array/cache_model.hh"
@@ -70,97 +69,6 @@ BM_FullChip(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FullChip)->Unit(benchmark::kMillisecond);
-
-/**
- * Full chip solve with the array memo cache hot vs cold.  The cached
- * row is the steady-state cost inside a design-space-exploration loop
- * that rebuilds structurally similar chips.
- */
-void
-BM_FullChipArrayCache(benchmark::State &state)
-{
-    const bool cached = state.range(0) != 0;
-    const auto loaded = config::loadSystemParamsFromFile(
-        bench::findConfig("niagara.xml"));
-    auto &cache = array::ArrayResultCache::instance();
-    const bool was_enabled = cache.enabled();
-    cache.setEnabled(true);
-    cache.clear();
-    if (cached)
-        chip::Processor warmup(loaded.system);  // prime the memo table
-    for (auto _ : state) {
-        if (!cached)
-            cache.clear();
-        chip::Processor proc(loaded.system);
-        benchmark::DoNotOptimize(proc.tdp());
-    }
-    cache.setEnabled(was_enabled);
-    cache.clear();
-}
-BENCHMARK(BM_FullChipArrayCache)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("warm")
-    ->Unit(benchmark::kMillisecond);
-
-/**
- * Persistent-cache scoreboard: a full chip solved with the on-disk
- * cache cold (empty directory, every array solved and persisted) vs
- * warm (records present, memory tier dropped, every array
- * deserialized from disk).  The `cold_over_warm` counter is the
- * headline: a warm process start should be several times faster than
- * a cold one, which is the point of persisting solutions across runs.
- */
-void
-BM_ColdVsWarmDiskCache(benchmark::State &state)
-{
-    namespace fs = std::filesystem;
-    using clock = std::chrono::steady_clock;
-    const auto loaded = config::loadSystemParamsFromFile(
-        bench::findConfig("niagara.xml"));
-    auto &cache = array::ArrayResultCache::instance();
-    const bool was_enabled = cache.enabled();
-    cache.setEnabled(true);
-    const fs::path dir = fs::temp_directory_path() /
-        ("mcpat_bench_diskcache_" + std::to_string(::getpid()));
-
-    double cold_s = 0.0, warm_s = 0.0;
-    for (auto _ : state) {
-        // Cold: no records on disk, no memo entries.
-        fs::remove_all(dir);
-        cache.setCacheDir(dir.string());
-        cache.clear();
-        const auto t0 = clock::now();
-        {
-            chip::Processor proc(loaded.system);
-            benchmark::DoNotOptimize(proc.tdp());
-        }
-        const auto t1 = clock::now();
-
-        // Warm: records persisted by the cold pass; drop the memory
-        // tier to simulate a fresh process against a primed cache dir.
-        cache.clear();
-        const auto t2 = clock::now();
-        {
-            chip::Processor proc(loaded.system);
-            benchmark::DoNotOptimize(proc.tdp());
-        }
-        const auto t3 = clock::now();
-
-        cold_s += std::chrono::duration<double>(t1 - t0).count();
-        warm_s += std::chrono::duration<double>(t3 - t2).count();
-    }
-    const double n = static_cast<double>(state.iterations());
-    state.counters["cold_ms"] = 1e3 * cold_s / n;
-    state.counters["warm_ms"] = 1e3 * warm_s / n;
-    state.counters["cold_over_warm"] = warm_s > 0.0 ? cold_s / warm_s
-                                                    : 0.0;
-    cache.setCacheDir("");
-    cache.setEnabled(was_enabled);
-    cache.clear();
-    fs::remove_all(dir);
-}
-BENCHMARK(BM_ColdVsWarmDiskCache)->Unit(benchmark::kMillisecond);
 
 /**
  * End-to-end scoreboard: the paper's 22 nm case study (8 design points

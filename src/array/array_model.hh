@@ -26,26 +26,15 @@ namespace array {
 using tech::Technology;
 
 /**
- * Organization-search observability: full candidate evaluations
- * performed vs candidates skipped by the branch-and-bound pruner.
- * Process-global, thread-safe.
+ * Organization-search observability: candidate organizations fully
+ * evaluated by ArrayModel::optimize.  Process-global, thread-safe.
  */
 struct OptimizerSearchStats
 {
     std::uint64_t evaluated = 0;  ///< candidates fully evaluated
-    std::uint64_t pruned = 0;     ///< candidates skipped by the bound
+    /** Always 0; kept until the benchmark drops array.pruned_ratio. */
+    std::uint64_t pruned = 0;
 };
-
-/**
- * Whether ArrayModel::optimize prunes candidates with the cheap
- * lower-bound test.  Defaults to on; MCPAT_PRUNE=0 (read once) or
- * setOptimizerPruning(false) selects the exhaustive search.  Pruning
- * is constructed to pick bit-identical winners to the exhaustive
- * search, so this switch exists for verification and benchmarking,
- * not correctness.
- */
-bool optimizerPruning();
-void setOptimizerPruning(bool on);
 
 OptimizerSearchStats optimizerSearchStats();
 void resetOptimizerSearchStats();
@@ -136,16 +125,9 @@ class ArrayModel
     bool _meetsTiming = true;
 
     struct Candidate;
-    struct OrgGeometry;
-    struct CandidateFloor;
 
-    OrgGeometry orgGeometry(const ArrayOrg &org) const;
-    CandidateFloor candidateFloor(const ArrayOrg &org,
-                                  const OrgGeometry &geom) const;
     std::optional<Candidate> evaluate(const ArrayOrg &org) const;
     void searchExhaustive(std::vector<Candidate> &cands) const;
-    void searchPruned(const OptimizationWeights &weights,
-                      std::vector<Candidate> &cands) const;
     void selectBest(std::vector<Candidate> &cands,
                     const OptimizationWeights &weights);
     void optimize(const OptimizationWeights &weights);

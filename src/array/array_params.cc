@@ -48,22 +48,28 @@ ArrayParams::validate() const
 {
     const bool form1 = sizeBytes > 0.0;
     const bool form2 = rows > 0;
-    fatalIf(form1 == form2,
-            "array '" + name + "': specify exactly one of sizeBytes or "
-            "rows x bits");
-    fatalIf(form1 && blockWidthBits <= 0,
-            "array '" + name + "': sizeBytes form requires blockWidthBits");
-    fatalIf(form2 && bits <= 0,
-            "array '" + name + "': rows form requires bits > 0");
-    fatalIf(totalPorts() <= 0,
-            "array '" + name + "': needs at least one port");
-    fatalIf(banks <= 0, "array '" + name + "': banks must be positive");
-    fatalIf(searchPorts > 0 && cellType != CellType::CAM,
-            "array '" + name + "': search ports require CAM cells");
-    fatalIf(cellType == CellType::CAM && searchPorts <= 0,
-            "array '" + name + "': CAM arrays need at least 1 search port");
-    fatalIf(targetCycleTime < 0.0,
-            "array '" + name + "': negative cycle-time target");
+    if (form1 == form2)
+        throw ConfigError("array '" + name + "': specify exactly one of "
+                          "sizeBytes or rows x bits");
+    if (form1 && blockWidthBits <= 0)
+        throw ConfigError("array '" + name +
+                          "': sizeBytes form requires blockWidthBits");
+    if (form2 && bits <= 0)
+        throw ConfigError("array '" + name +
+                          "': rows form requires bits > 0");
+    if (totalPorts() <= 0)
+        throw ConfigError("array '" + name + "': needs at least one port");
+    if (banks <= 0)
+        throw ConfigError("array '" + name + "': banks must be positive");
+    if (searchPorts > 0 && cellType != CellType::CAM)
+        throw ConfigError("array '" + name +
+                          "': search ports require CAM cells");
+    if (cellType == CellType::CAM && searchPorts <= 0)
+        throw ConfigError("array '" + name +
+                          "': CAM arrays need at least 1 search port");
+    if (targetCycleTime < 0.0)
+        throw ConfigError("array '" + name +
+                          "': negative cycle-time target");
 }
 
 } // namespace array

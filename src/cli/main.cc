@@ -149,7 +149,7 @@ usage(const char *prog)
                  "Perfetto)\n"
               << "  -metrics_out write the run manifest JSON (per-phase "
                  "wall\n"
-              << "               clock, cache/prune/pool metrics, "
+              << "               clock, cache/search/pool metrics, "
                  "config\n"
               << "               checksum)\n"
               << "  -progress    one-line stderr progress updates "

@@ -12,7 +12,7 @@
  *  - a **metrics registry** of named counters, gauges, and timers.
  *    Instruments register metrics lazily by name; subsystems that keep
  *    their own cheap internal counters (the array memo cache, the
- *    branch-and-bound pruner, the thread pool) export them through
+ *    organization search, the thread pool) export them through
  *    *collectors* — callbacks run at snapshot time — so the hot paths
  *    pay nothing for the registry until someone actually asks.
  *
@@ -23,8 +23,8 @@
  *    where the per-phase wall-clock in the run manifest comes from.
  *
  *  - a **run manifest**: one JSON object describing a run — wall clock
- *    per phase, every registry metric, cache hit rates per tier, prune
- *    efficacy, thread count, config checksum — written to a file
+ *    per phase, every registry metric, cache hit rates per tier,
+ *    search counts, thread count, config checksum — written to a file
  *    (-metrics_out), embedded in the JSON report, or aggregated across
  *    a batch.
  *
@@ -317,7 +317,7 @@ struct RunInfo
  * "mcpat-run-manifest-v1" containing the RunInfo fields, a "phases"
  * object (every "span.*" registry timer: total_ms + count), and
  * "counters" / "gauges" / "timers" objects with every other metric.
- * Runs the registry collectors, so cache/prune/pool figures are
+ * Runs the registry collectors, so cache/search/pool figures are
  * current.  @p indent shifts the whole object right (for embedding).
  */
 void writeRunManifest(std::ostream &os, const RunInfo &info,

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <ostream>
 
 #include "chip/processor.hh"
 #include "config/xml_loader.hh"
@@ -24,6 +25,18 @@ struct Published
     double tdp;    ///< W
     double area;   ///< mm^2
 };
+
+/**
+ * Print a case as its config file.  gtest would otherwise print the
+ * struct's raw bytes, including the ASLR-dependent address of `file`,
+ * and gtest_discover_tests puts that text into the CTest test names,
+ * so every build would name these tests differently.
+ */
+void
+PrintTo(const Published &pub, std::ostream *os)
+{
+    *os << pub.file;
+}
 
 std::string
 findConfig(const std::string &name)
