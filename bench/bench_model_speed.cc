@@ -16,6 +16,7 @@
 
 #include "array/array_cache.hh"
 #include "array/cache_model.hh"
+#include "chip/component_memo.hh"
 #include "chip/processor.hh"
 #include "common/flight_recorder.hh"
 #include "common/instrument.hh"
@@ -104,12 +105,13 @@ BENCHMARK(BM_CaseStudy)
  * live).  The `overhead_pct` counter is the headline; the layer's
  * budget is < 2% on this workload (sites sit at phase/component
  * granularity, so a solve crosses only a handful of them).  Both arms
- * run with the array cache cold — the cost profile of a real CLI run,
- * where every array's organization search actually executes; a
- * cache-hot rebuild finishes in microseconds and would measure the
- * fixed span cost against almost no work.  The on arm also runs the
- * flight recorder at a fast cadence, so the budget covers histograms
- * and the background sampler, not just spans and counters.
+ * run with the array cache and the component memo cold — the cost
+ * profile of a real CLI run, where every component is built and every
+ * array's organization search actually executes; a memo-hot rebuild
+ * finishes in microseconds and would measure the fixed span cost
+ * against almost no work.  The on arm also runs the flight recorder at
+ * a fast cadence, so the budget covers histograms and the background
+ * sampler, not just spans and counters.
  */
 void
 BM_InstrumentationOverhead(benchmark::State &state)
@@ -118,6 +120,7 @@ BM_InstrumentationOverhead(benchmark::State &state)
     const auto loaded = config::loadSystemParamsFromFile(
         bench::findConfig("niagara.xml"));
     auto &cache = array::ArrayResultCache::instance();
+    auto &memo = chip::ComponentMemo::instance();
     const std::string recorder_csv =
         (std::filesystem::temp_directory_path() /
          "mcpat_bench_recorder.csv")
@@ -127,6 +130,7 @@ BM_InstrumentationOverhead(benchmark::State &state)
     for (auto _ : state) {
         instr::setEnabled(false);
         cache.clear();
+        memo.clear();
         const auto t0 = clock::now();
         {
             chip::Processor proc(loaded.system);
@@ -144,6 +148,7 @@ BM_InstrumentationOverhead(benchmark::State &state)
         while (recorder.samples() == 0 && clock::now() < settle)
             std::this_thread::yield();
         cache.clear();
+        memo.clear();
         const auto t2 = clock::now();
         {
             chip::Processor proc(loaded.system);
@@ -158,6 +163,7 @@ BM_InstrumentationOverhead(benchmark::State &state)
         on_s += std::chrono::duration<double>(t3 - t2).count();
     }
     cache.clear();
+    memo.clear();
     instr::Registry::instance().reset();
     std::error_code ec;
     std::filesystem::remove(recorder_csv, ec);

@@ -60,13 +60,17 @@ orgFromIndex(std::size_t idx)
 }
 
 std::atomic<std::uint64_t> g_evaluated{0};
+std::atomic<std::uint64_t> g_subarrays{0};
 
-/** Mirrors the organization-search counter into registry snapshots. */
+/** Mirrors the organization-search counters into registry snapshots. */
 [[maybe_unused]] const bool g_search_collector_registered =
     instr::Registry::instance().addCollector([](instr::Registry &reg) {
         reg.gauge("array.search.evaluated")
             .set(static_cast<double>(
                 g_evaluated.load(std::memory_order_relaxed)));
+        reg.gauge("array.search.subarrays")
+            .set(static_cast<double>(
+                g_subarrays.load(std::memory_order_relaxed)));
     });
 
 } // namespace
@@ -74,13 +78,15 @@ std::atomic<std::uint64_t> g_evaluated{0};
 OptimizerSearchStats
 optimizerSearchStats()
 {
-    return {g_evaluated.load(std::memory_order_relaxed), 0};
+    return {g_evaluated.load(std::memory_order_relaxed), 0,
+            g_subarrays.load(std::memory_order_relaxed)};
 }
 
 void
 resetOptimizerSearchStats()
 {
     g_evaluated.store(0, std::memory_order_relaxed);
+    g_subarrays.store(0, std::memory_order_relaxed);
 }
 
 /** One evaluated organization. */
@@ -120,19 +126,14 @@ ArrayModel::ArrayModel(ArrayParams params, const Technology &t,
     cache.insert(key, {_result, _meetsTiming});
 }
 
-std::optional<ArrayModel::Candidate>
-ArrayModel::evaluate(const ArrayOrg &org) const
+std::optional<ArrayModel::SubarrayShape>
+ArrayModel::subarrayShape(const ArrayOrg &org) const
 {
-    const int total_rows = _params.totalRows();
-    const int row_bits = _params.rowBits();
-    const int banks = _params.banks;
-    const int ports = _params.totalPorts();
-
     const int rows_per_bank =
-        static_cast<int>(std::ceil(static_cast<double>(total_rows) /
-                                   banks));
+        static_cast<int>(std::ceil(static_cast<double>(_params.totalRows()) /
+                                   _params.banks));
     const double eff_rows = rows_per_bank / org.nspd;
-    const double eff_cols = row_bits * org.nspd;
+    const double eff_cols = _params.rowBits() * org.nspd;
     const int sub_rows = static_cast<int>(std::ceil(eff_rows / org.ndbl));
     const int sub_cols = static_cast<int>(std::ceil(eff_cols / org.ndwl));
 
@@ -147,8 +148,19 @@ ArrayModel::evaluate(const ArrayOrg &org) const
         return std::nullopt;
     if (org.ndwl > 1 && sub_cols * (org.ndwl - 1) >= eff_cols)
         return std::nullopt;
+    return SubarrayShape{sub_rows, sub_cols};
+}
 
-    const Subarray sub(sub_rows, sub_cols, ports, _params.cellType, _tech);
+ArrayModel::Candidate
+ArrayModel::assemble(const ArrayOrg &org, const Subarray &sub,
+                     const CamSearch *cam) const
+{
+    const int total_rows = _params.totalRows();
+    const int row_bits = _params.rowBits();
+    const int banks = _params.banks;
+    const int ports = _params.totalPorts();
+    const int sub_rows = sub.rows();
+    const int sub_cols = sub.cols();
 
     const int subarrays = org.subarrays();
     const double bank_w = org.ndwl * sub.width();
@@ -228,17 +240,16 @@ ArrayModel::evaluate(const ArrayOrg &org) const
     // --- CAM search path. --------------------------------------------------
     double search_e = 0.0;
     double search_delay = 0.0;
-    if (_params.cellType == CellType::CAM) {
-        const CamSearch cam(sub, _tech);
+    if (cam) {
         // A search interrogates every subarray of one bank.
         search_e = peripheryEnergyFactor * subarrays *
-                       cam.energyPerSearch() +
+                       cam->energyPerSearch() +
                    htree_in_energy;
-        search_delay = htree_delay + global_delay + cam.delay();
+        search_delay = htree_delay + global_delay + cam->delay();
         const double sp = _params.searchPorts;
-        leak_sub += n_sub_total * cam.subthresholdLeakage() * sp;
-        leak_gate += n_sub_total * cam.gateLeakage() * sp;
-        area += n_sub_total * cam.area() * sp;
+        leak_sub += n_sub_total * cam->subthresholdLeakage() * sp;
+        leak_gate += n_sub_total * cam->gateLeakage() * sp;
+        area += n_sub_total * cam->area() * sp;
     }
 
     // eDRAM refresh: every row is read+restored once per retention
@@ -279,22 +290,50 @@ ArrayModel::evaluate(const ArrayOrg &org) const
 void
 ArrayModel::searchExhaustive(std::vector<Candidate> &cands) const
 {
-    // Evaluate the full candidate grid in parallel: each organization
-    // writes its own slot, then feasible candidates are collected in
-    // the same (ndwl, ndbl, nspd) order the serial triple loop used,
-    // keeping the selected optimum (including tie-breaks) identical.
+    // Many organizations share a subarray shape (rows depend only on
+    // nspd * ndbl, columns only on nspd / ndwl), so the search builds
+    // each distinct Subarray (and its CamSearch) once.  Step 1 maps the
+    // grid to shapes serially in canonical (ndwl, ndbl, nspd) order;
+    // steps 2 and 3 build the shapes and assemble the candidates in
+    // parallel, each writing its own slot.  Candidates stay in grid
+    // order, so the selected optimum (including tie-breaks) is
+    // identical at any thread count.
     const std::size_t n_orgs = std::size(kPartitions) *
                                std::size(kPartitions) *
                                std::size(kFoldings);
-    std::vector<std::optional<Candidate>> slots(n_orgs);
-    parallel::parallelFor(n_orgs, [&](std::size_t idx) {
+    std::vector<SubarrayShape> shapes;
+    std::vector<std::pair<ArrayOrg, std::size_t>> feasible;
+    for (std::size_t idx = 0; idx < n_orgs; ++idx) {
+        const ArrayOrg org = orgFromIndex(idx);
+        const std::optional<SubarrayShape> shape = subarrayShape(org);
+        if (!shape)
+            continue;
+        const auto it = std::find(shapes.begin(), shapes.end(), *shape);
+        feasible.emplace_back(org, it - shapes.begin());
+        if (it == shapes.end())
+            shapes.push_back(*shape);
+    }
+
+    const bool is_cam = _params.cellType == CellType::CAM;
+    std::vector<std::optional<Subarray>> subs(shapes.size());
+    std::vector<std::optional<CamSearch>> cams(is_cam ? shapes.size() : 0);
+    parallel::parallelFor(shapes.size(), [&](std::size_t i) {
         cancel::checkpoint();
-        slots[idx] = evaluate(orgFromIndex(idx));
+        const Subarray &sub =
+            subs[i].emplace(shapes[i].rows, shapes[i].cols,
+                            _params.totalPorts(), _params.cellType, _tech);
+        if (is_cam)
+            cams[i].emplace(sub, _tech);
     });
-    for (auto &slot : slots)
-        if (slot)
-            cands.push_back(std::move(*slot));
+
+    cands.resize(feasible.size());
+    parallel::parallelFor(feasible.size(), [&](std::size_t i) {
+        cancel::checkpoint();
+        const auto &[org, s] = feasible[i];
+        cands[i] = assemble(org, *subs[s], is_cam ? &*cams[s] : nullptr);
+    });
     g_evaluated.fetch_add(cands.size(), std::memory_order_relaxed);
+    g_subarrays.fetch_add(shapes.size(), std::memory_order_relaxed);
 }
 
 void

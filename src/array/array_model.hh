@@ -25,15 +25,20 @@ namespace array {
 
 using tech::Technology;
 
+class Subarray;
+class CamSearch;
+
 /**
  * Organization-search observability: candidate organizations fully
- * evaluated by ArrayModel::optimize.  Process-global, thread-safe.
+ * evaluated by ArrayModel::optimize, and the distinct subarrays built
+ * for them.  Process-global, thread-safe.
  */
 struct OptimizerSearchStats
 {
     std::uint64_t evaluated = 0;  ///< candidates fully evaluated
     /** Always 0; kept until the benchmark drops array.pruned_ratio. */
     std::uint64_t pruned = 0;
+    std::uint64_t subarrays = 0;  ///< distinct subarray shapes built
 };
 
 OptimizerSearchStats optimizerSearchStats();
@@ -126,7 +131,19 @@ class ArrayModel
 
     struct Candidate;
 
-    std::optional<Candidate> evaluate(const ArrayOrg &org) const;
+    /** Subarray dimensions one organization maps to. */
+    struct SubarrayShape
+    {
+        int rows;
+        int cols;
+        bool operator==(const SubarrayShape &) const = default;
+    };
+
+    /** The organization's subarray shape, or nothing when infeasible. */
+    std::optional<SubarrayShape> subarrayShape(const ArrayOrg &org) const;
+    /** Evaluate @p org on its prebuilt subarray (and CAM search path). */
+    Candidate assemble(const ArrayOrg &org, const Subarray &sub,
+                       const CamSearch *cam) const;
     void searchExhaustive(std::vector<Candidate> &cands) const;
     void selectBest(std::vector<Candidate> &cands,
                     const OptimizationWeights &weights);

@@ -18,6 +18,7 @@ Technology::Technology(int node_nm, DeviceFlavor flavor, double temperature_k)
 {
     fatalIf(temperature_k < 233.0 || temperature_k > 420.0,
             "junction temperature outside the modeled 233-420 K range");
+    updateScales();
 }
 
 const DeviceParams &
@@ -40,34 +41,32 @@ Technology::setVdd(double vdd)
     fatalIf(vdd > device().vdd * 1.4,
             "DVFS supply voltage more than 40% above nominal");
     _vdd = vdd;
+    updateScales();
 }
 
-double
-Technology::leakageScale() const
+void
+Technology::setTemperature(double t)
 {
-    // Subthreshold leakage roughly doubles every 20 K; DIBL makes Ioff
-    // approximately linear in Vdd around the nominal point.
-    const double temp_factor = std::pow(2.0, (_temperature - 300.0) / 20.0);
-    const double vdd_factor = _vdd / device().vdd;
-    return temp_factor * vdd_factor;
+    _temperature = t;
+    updateScales();
 }
 
-double
-Technology::gateLeakageScale() const
+void
+Technology::updateScales()
 {
-    const double v = _vdd / device().vdd;
-    return v * v;
-}
-
-double
-Technology::delayScale() const
-{
-    constexpr double alpha = 1.3;
     const double vnom = device().vdd;
     const double vth = device().vth;
+    const double v = _vdd / vnom;
+
+    // Subthreshold leakage roughly doubles every 20 K; DIBL makes Ioff
+    // approximately linear in Vdd around the nominal point.
+    _leakageScale = std::pow(2.0, (_temperature - 300.0) / 20.0) * v;
+    _gateLeakageScale = v * v;
+
+    constexpr double alpha = 1.3;
     const double nominal = vnom / std::pow(vnom - vth, alpha);
     const double actual = _vdd / std::pow(_vdd - vth, alpha);
-    return actual / nominal;
+    _delayScale = actual / nominal;
 }
 
 double

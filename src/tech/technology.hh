@@ -142,7 +142,7 @@ class Technology
     void setVdd(double vdd);
 
     double temperature() const { return _temperature; }
-    void setTemperature(double t) { _temperature = t; }
+    void setTemperature(double t);
 
     /**
      * Subthreshold-leakage multiplier at the current temperature and Vdd
@@ -151,16 +151,16 @@ class Technology
      * Temperature: leakage doubles roughly every 20 K.  Voltage: DIBL makes
      * Ioff approximately linear in Vdd near nominal.
      */
-    double leakageScale() const;
+    double leakageScale() const { return _leakageScale; }
 
     /** Gate-leakage multiplier: ~quadratic in Vdd, temperature-flat. */
-    double gateLeakageScale() const;
+    double gateLeakageScale() const { return _gateLeakageScale; }
 
     /**
      * Gate-delay multiplier at the current Vdd relative to nominal, from
      * the alpha-power law: delay ~ Vdd / (Vdd - Vth)^alpha with alpha 1.3.
      */
-    double delayScale() const;
+    double delayScale() const { return _delayScale; }
 
     /** FO4 delay at the current operating point, s. */
     double fo4() const { return device().fo4 * delayScale(); }
@@ -190,6 +190,14 @@ class Technology
     double _vdd;
     double _temperature;
     WireProjection _projection = WireProjection::Aggressive;
+
+    // Operating-point multipliers, recomputed whenever Vdd or the
+    // temperature changes (queried on every circuit leakage/delay call).
+    double _leakageScale = 1.0;
+    double _gateLeakageScale = 1.0;
+    double _delayScale = 1.0;
+
+    void updateScales();
 };
 
 /**

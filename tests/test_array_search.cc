@@ -17,6 +17,7 @@
 
 #include "array/array_cache.hh"
 #include "array/array_model.hh"
+#include "common/parallel.hh"
 
 using namespace mcpat;
 
@@ -222,8 +223,17 @@ expectPinned(const array::ArrayModel &m, const Pinned &pin)
     EXPECT_EQ(r.width, pin.width) << what;
 }
 
+/** RAII guard: run the parallel engine at @p n workers, then reset. */
+struct ThreadCountGuard
+{
+    explicit ThreadCountGuard(int n) { parallel::setThreadCount(n); }
+    ~ThreadCountGuard() { parallel::setThreadCount(0); }
+};
+
 } // namespace
 
+// The pins hold serially and with the subarrays and candidates of each
+// search built in parallel.
 TEST(ArraySearch, WinnerPinnedAcrossArrayShapes)
 {
     NoCacheGuard no_cache;
@@ -232,13 +242,17 @@ TEST(ArraySearch, WinnerPinnedAcrossArrayShapes)
 
     const std::vector<array::ArrayParams> shapes = arrayShapes();
     ASSERT_EQ(std::size(kPinned), 2 * shapes.size());
-    const Pinned *pin = kPinned;
-    for (const auto &p : shapes) {
-        for (const tech::Technology *t : {&t65, &t22}) {
-            ASSERT_EQ(p.name, pin->what);
-            ASSERT_EQ(t->nodeNm(), pin->nodeNm);
-            expectPinned(array::ArrayModel(p, *t), *pin);
-            ++pin;
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        ThreadCountGuard thread_count(threads);
+        const Pinned *pin = kPinned;
+        for (const auto &p : shapes) {
+            for (const tech::Technology *t : {&t65, &t22}) {
+                ASSERT_EQ(p.name, pin->what);
+                ASSERT_EQ(t->nodeNm(), pin->nodeNm);
+                expectPinned(array::ArrayModel(p, *t), *pin);
+                ++pin;
+            }
         }
     }
 }
@@ -257,10 +271,13 @@ TEST(ArraySearch, SearchStatsCountEvaluations)
     { const array::ArrayModel m(p, t); }
     const auto stats = array::optimizerSearchStats();
     // 150 of the 216 grid organizations are feasible for this shape;
-    // the search evaluates every one of them.
+    // the search evaluates every one of them, on the 55 distinct
+    // subarray shapes they map to (each built once).
     EXPECT_EQ(stats.evaluated, 150u);
     EXPECT_EQ(stats.pruned, 0u);
+    EXPECT_EQ(stats.subarrays, 55u);
 
     array::resetOptimizerSearchStats();
     EXPECT_EQ(array::optimizerSearchStats().evaluated, 0u);
+    EXPECT_EQ(array::optimizerSearchStats().subarrays, 0u);
 }

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "tech/technology.hh"
 
 using namespace mcpat;
@@ -165,6 +168,41 @@ TEST(TechDvfs, BoundsEnforced)
     Technology t(45);
     EXPECT_THROW(t.setVdd(t.device().vth), ConfigError);
     EXPECT_THROW(t.setVdd(2.0 * t.device().vdd), ConfigError);
+}
+
+namespace {
+
+/** The three operating-point scales match their closed forms exactly. */
+void
+expectScalesCurrent(const Technology &t, const std::string &what)
+{
+    const double vnom = t.device().vdd;
+    const double vth = t.device().vth;
+    const double v = t.vdd() / vnom;
+    EXPECT_EQ(t.leakageScale(),
+              std::pow(2.0, (t.temperature() - 300.0) / 20.0) * v)
+        << what;
+    EXPECT_EQ(t.gateLeakageScale(), v * v) << what;
+    EXPECT_EQ(t.delayScale(),
+              (t.vdd() / std::pow(t.vdd() - vth, 1.3)) /
+                  (vnom / std::pow(vnom - vth, 1.3)))
+        << what;
+}
+
+} // namespace
+
+// The scales are computed when the operating point changes, not on each
+// query; no setter may leave them stale.
+TEST(TechOperatingPoint, ScalesFollowVddAndTemperature)
+{
+    Technology t(45, DeviceFlavor::LOP, 330.0);
+    expectScalesCurrent(t, "constructed");
+    t.setVdd(0.85 * t.device().vdd);
+    expectScalesCurrent(t, "after setVdd");
+    t.setTemperature(390.0);
+    expectScalesCurrent(t, "after setTemperature");
+    t.setVdd(1.1 * t.device().vdd);
+    expectScalesCurrent(t, "after second setVdd");
 }
 
 TEST(TechWires, PitchOrderingAcrossLayers)

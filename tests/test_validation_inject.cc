@@ -14,13 +14,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <regex>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "chip/report_writer.hh"
@@ -67,24 +69,72 @@ struct FieldSite
     std::size_t valueLen = 0;
 };
 
+/**
+ * Match `<param|stat \s+ name="KEY" \s+ value="VALUE" \s* />` starting
+ * at the '<' at @p at; on a match fill @p site and return true.
+ */
+bool
+matchFieldSite(const std::string &text, std::size_t at, FieldSite &site)
+{
+    std::size_t pos = at + 1;
+    const auto spaces = [&] {
+        const std::size_t from = pos;
+        while (pos < text.size() &&
+               std::isspace(static_cast<unsigned char>(text[pos])))
+            ++pos;
+        return pos > from;
+    };
+    const auto literal = [&](std::string_view lit) {
+        if (text.compare(pos, lit.size(), lit) != 0)
+            return false;
+        pos += lit.size();
+        return true;
+    };
+    const auto quoted = [&](std::size_t &begin, std::size_t &len) {
+        const std::size_t end = text.find('"', pos);
+        if (end == std::string::npos)
+            return false;
+        begin = pos;
+        len = end - pos;
+        pos = end + 1;
+        return true;
+    };
+
+    if (literal("param"))
+        site.isStat = false;
+    else if (literal("stat"))
+        site.isStat = true;
+    else
+        return false;
+    std::size_t key_begin = 0, key_len = 0;
+    if (!spaces() || !literal("name=\"") || !quoted(key_begin, key_len) ||
+        !spaces() || !literal("value=\"") ||
+        !quoted(site.valueBegin, site.valueLen))
+        return false;
+    spaces();
+    if (!literal("/>"))
+        return false;
+    site.key = text.substr(key_begin, key_len);
+    site.elemBegin = at;
+    site.elemLen = pos - at;
+    return true;
+}
+
 /** Locate every <param/> and <stat/> element in the document text. */
 std::vector<FieldSite>
 findFieldSites(const std::string &text)
 {
-    static const std::regex element(
-        "<(param|stat)\\s+name=\"([^\"]*)\"\\s+value=\"([^\"]*)\"\\s*/>");
     std::vector<FieldSite> sites;
-    for (auto it = std::sregex_iterator(text.begin(), text.end(),
-                                        element);
-         it != std::sregex_iterator(); ++it) {
+    std::size_t at = text.find('<');
+    while (at != std::string::npos) {
         FieldSite s;
-        s.key = (*it)[2].str();
-        s.isStat = (*it)[1].str() == "stat";
-        s.elemBegin = static_cast<std::size_t>(it->position(0));
-        s.elemLen = static_cast<std::size_t>(it->length(0));
-        s.valueBegin = static_cast<std::size_t>(it->position(3));
-        s.valueLen = static_cast<std::size_t>(it->length(3));
-        sites.push_back(s);
+        if (matchFieldSite(text, at, s)) {
+            sites.push_back(s);
+            at += s.elemLen;
+        } else {
+            ++at;
+        }
+        at = text.find('<', at);
     }
     return sites;
 }
@@ -233,6 +283,30 @@ TEST(FaultInjectionRequired, MissingRequiredKeysAreNamed)
         mutant.replace(s.elemBegin, s.elemLen, "");
         expectLocatedRejection(mutant, "clock_rate_mhz", "removal");
         break;  // first clock after the Core opening tag is the core's
+    }
+}
+
+/** The scan finds every field of each shipped config, no more. */
+TEST(FaultInjectionSites, EveryShippedFieldFound)
+{
+    const std::pair<const char *, std::size_t> expected[] = {
+        {"niagara.xml", 53},       {"niagara2.xml", 51},
+        {"alpha21364.xml", 62},    {"xeon_tulsa.xml", 66},
+        {"manycore_22nm.xml", 40}, {"niagara_runtime.xml", 55}};
+    for (const auto &[config, count] : expected) {
+        const std::string text = slurpFile(findConfig(config));
+        const std::vector<FieldSite> sites = findFieldSites(text);
+        EXPECT_EQ(sites.size(), count) << config;
+        for (const FieldSite &s : sites) {
+            const std::string elem = text.substr(s.elemBegin, s.elemLen);
+            EXPECT_EQ(elem.rfind(s.isStat ? "<stat" : "<param", 0), 0u)
+                << config << ": " << elem;
+            EXPECT_EQ(text.substr(s.valueBegin + s.valueLen, 1), "\"")
+                << config << ": " << elem;
+            EXPECT_NE(elem.find("name=\"" + s.key + "\""),
+                      std::string::npos)
+                << config << ": " << elem;
+        }
     }
 }
 
