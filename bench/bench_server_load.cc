@@ -14,8 +14,8 @@
  *     acceptance bar is >= 10x on repeated identical configs).
  *
  *  2. **Smoke client** (-connect): drive an externally started
- *     `mcpat -serve` daemon; with -check every response line and the
- *     embedded report document are strict-JSON-validated, and with
+ *     `mcpat -serve` daemon; every response line is parsed strictly,
+ *     with -check the embedded report document is too, and with
  *     -shutdown a clean shutdown is requested and verified.  CI uses
  *     this against a backgrounded daemon.
  *
@@ -40,9 +40,7 @@
 
 #include <unistd.h>
 
-#include "common/diagnostics.hh"
-#include "common/json_check.hh"
-#include "common/json_value.hh"
+#include "common/json.hh"
 #include "common/net.hh"
 #include "study/server.hh"
 
@@ -107,8 +105,8 @@ struct ClientTally
 
 /**
  * One client thread: its own connection, @p requests sequential
- * evaluation requests.  With @p check, every response line and the
- * embedded report must pass the strict JSON checker.
+ * evaluation requests.  Every response line must pass the strict JSON
+ * parser; with @p check, so must the embedded report.
  */
 ClientTally
 runClient(const net::Endpoint &ep, const std::string &config,
@@ -123,7 +121,7 @@ runClient(const net::Endpoint &ep, const std::string &config,
         return tally;
     }
     const std::string request =
-        "{\"config\": \"" + jsonEscapeString(config) + "\"}\n";
+        "{\"config\": \"" + common::jsonEscape(config) + "\"}\n";
     std::string reply;
     for (int i = 0; i < requests; ++i) {
         const auto t0 = std::chrono::steady_clock::now();
@@ -152,14 +150,9 @@ runClient(const net::Endpoint &ep, const std::string &config,
         }
         if (check) {
             std::string jerr;
-            if (!common::jsonValid(reply, &jerr)) {
-                ++tally.failures;
-                if (tally.firstError.empty())
-                    tally.firstError = "response line: " + jerr;
-                continue;
-            }
+            common::JsonValue doc;
             const std::string report = v.getString("report");
-            if (report.empty() || !common::jsonValid(report, &jerr)) {
+            if (report.empty() || !common::jsonParse(report, doc, &jerr)) {
                 ++tally.failures;
                 if (tally.firstError.empty())
                     tally.firstError = "embedded report: " +

@@ -8,42 +8,11 @@
 #include <cmath>
 #include <iomanip>
 
+#include "common/json.hh"
 #include "common/units.hh"
 
 namespace mcpat {
 namespace chip {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 namespace {
 
@@ -94,7 +63,7 @@ writeJsonNode(std::ostream &os, const Report &r, int indent, bool &valid,
         os << pad << "  \"instrumentation\":\n" << *instrumentation
            << ",\n";
     }
-    os << pad << "  \"name\": \"" << jsonEscape(r.name) << "\",\n";
+    os << pad << "  \"name\": \"" << common::jsonEscape(r.name) << "\",\n";
     os << pad << "  \"area_mm2\": ";
     writeJsonNumber(os, r.area / mm2, valid);
     os << ",\n" << pad << "  \"peak_dynamic_w\": ";

@@ -6,7 +6,6 @@
 #include "common/diagnostics.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 namespace mcpat {
@@ -95,37 +94,20 @@ ValidationError::ValidationError(const std::string &subject,
     : ConfigError(summarize(subject, diags)), _diags(std::move(diags))
 {}
 
-std::string
-jsonEscapeString(const std::string &s)
+namespace {
+
+/** One diagnostic as a JSON object, without surrounding whitespace. */
+void
+writeDiagnosticJson(std::ostream &os, const Diagnostic &d)
 {
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
+    os << "{\"severity\": \"" << severityName(d.severity)
+       << "\", \"component\": \"" << common::jsonEscape(d.component)
+       << "\", \"key\": \"" << common::jsonEscape(d.key)
+       << "\", \"line\": " << d.line << ", \"message\": \""
+       << common::jsonEscape(d.message) << "\"}";
 }
+
+} // namespace
 
 void
 writeDiagnosticsJson(std::ostream &os, const DiagnosticList &diags,
@@ -139,15 +121,24 @@ writeDiagnosticsJson(std::ostream &os, const DiagnosticList &diags,
     os << "[\n";
     const auto &items = diags.items();
     for (std::size_t i = 0; i < items.size(); ++i) {
-        const Diagnostic &d = items[i];
-        os << pad << "  {\"severity\": \"" << severityName(d.severity)
-           << "\", \"component\": \"" << jsonEscapeString(d.component)
-           << "\", \"key\": \"" << jsonEscapeString(d.key)
-           << "\", \"line\": " << d.line << ", \"message\": \""
-           << jsonEscapeString(d.message) << "\"}"
-           << (i + 1 < items.size() ? ",\n" : "\n");
+        os << pad << "  ";
+        writeDiagnosticJson(os, items[i]);
+        os << (i + 1 < items.size() ? ",\n" : "\n");
     }
     os << pad << "]";
+}
+
+void
+writeDiagnosticsJsonLine(std::ostream &os, const DiagnosticList &diags)
+{
+    os << "[";
+    const char *sep = "";
+    for (const Diagnostic &d : diags) {
+        os << sep;
+        writeDiagnosticJson(os, d);
+        sep = ", ";
+    }
+    os << "]";
 }
 
 namespace {

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace mcpat {
@@ -113,16 +114,28 @@ class ValidationError : public ConfigError
     DiagnosticList _diags;
 };
 
-/** Escape a string for inclusion in a JSON document. */
-std::string jsonEscapeString(const std::string &s);
+/** common::jsonEscape under the name perfbench/ calls it by. */
+inline std::string
+jsonEscapeString(const std::string &s)
+{
+    return common::jsonEscape(s);
+}
 
 /**
- * Emit a diagnostics array as JSON:
+ * Emit a diagnostics array as JSON, one item per line:
  *   [{"severity": "error", "component": "...", "key": "...",
  *     "line": 3, "message": "..."}, ...]
  */
 void writeDiagnosticsJson(std::ostream &os, const DiagnosticList &diags,
                           int indent = 0);
+
+/**
+ * The same array on one line, items joined by ", " ("[]" when empty),
+ * for records that must stay single-line: server replies and journal
+ * payloads.
+ */
+void writeDiagnosticsJsonLine(std::ostream &os,
+                              const DiagnosticList &diags);
 
 /** Emit diagnostics as CSV rows: severity,component,key,line,message. */
 void writeDiagnosticsCsv(std::ostream &os, const DiagnosticList &diags);

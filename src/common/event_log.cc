@@ -7,15 +7,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
-#include <iomanip>
 #include <memory>
 #include <mutex>
 #include <sstream>
 
 #include "common/instrument.hh"
+#include "common/json.hh"
 #include "common/serialize.hh"
 
 #ifdef _WIN32
@@ -28,6 +26,9 @@ namespace mcpat {
 namespace elog {
 
 namespace {
+
+using common::jsonEscape;
+using common::jsonNumber;
 
 /**
  * The single hot-path gate: the minimum level the sink accepts, or
@@ -52,48 +53,6 @@ sink()
 }
 
 thread_local std::string t_requestId;
-
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    std::ostringstream os;
-    os << std::setprecision(17) << v;
-    return os.str();
-}
 
 std::int64_t
 wallMillis()
@@ -234,17 +193,17 @@ emit(Level lv, const std::string &component, const std::string &event,
     line << "{\"ts_ms\": " << wallMillis() << ", \"mono_ms\": "
          << jsonNumber(instr::nowNanos() * 1e-6) << ", \"level\": \""
          << levelName(lv) << "\", \"component\": \""
-         << escapeJson(component) << "\", \"event\": \""
-         << escapeJson(event) << "\"";
+         << jsonEscape(component) << "\", \"event\": \""
+         << jsonEscape(event) << "\"";
     if (!t_requestId.empty())
-        line << ", \"request\": \"" << escapeJson(t_requestId) << "\"";
-    line << ", \"message\": \"" << escapeJson(message) << "\"";
+        line << ", \"request\": \"" << jsonEscape(t_requestId) << "\"";
+    line << ", \"message\": \"" << jsonEscape(message) << "\"";
     for (const Field &f : fields) {
-        line << ", \"" << escapeJson(f.key) << "\": ";
+        line << ", \"" << jsonEscape(f.key) << "\": ";
         if (f.isNumber)
             line << jsonNumber(f.number);
         else
-            line << "\"" << escapeJson(f.text) << "\"";
+            line << "\"" << jsonEscape(f.text) << "\"";
     }
 
     Sink &s = sink();

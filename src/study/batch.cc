@@ -14,7 +14,6 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -24,7 +23,7 @@
 #include "common/event_log.hh"
 #include "common/instrument.hh"
 #include "common/journal.hh"
-#include "common/json_value.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "study/eval_core.hh"
 
@@ -110,7 +109,7 @@ writeDiagnosticSidecars(BatchItemResult &item, const BatchOptions &opts,
         const std::string path = out_base.string() + ".diagnostics.json";
         std::ofstream jf(path);
         if (jf) {
-            jf << "{\n  \"input\": \"" << jsonEscapeString(item.input)
+            jf << "{\n  \"input\": \"" << common::jsonEscape(item.input)
                << "\",\n  \"valid\": " << (item.ok ? "true" : "false")
                << ",\n  \"diagnostics\": ";
             writeDiagnosticsJson(jf, item.diagnostics, 2);
@@ -247,8 +246,8 @@ writeBatchManifest(BatchResult &result, const BatchOptions &opts,
     for (std::size_t i = 0; i < result.items.size(); ++i) {
         const BatchItemResult &item = result.items[i];
         mf << (i ? ",\n" : "\n") << "    {\"name\": \""
-           << jsonEscapeString(item.name) << "\", \"input\": \""
-           << jsonEscapeString(item.input) << "\", \"ok\": "
+           << common::jsonEscape(item.name) << "\", \"input\": \""
+           << common::jsonEscape(item.input) << "\", \"ok\": "
            << (item.ok ? "true" : "false") << ", \"area_mm2\": ";
         jsonNumber(mf, item.area * 1e6);
         mf << ", \"peak_w\": ";
@@ -293,31 +292,13 @@ writeTextFile(const std::string &path, const std::string &text)
 // Progress journal (schema "mcpat-batch-journal-v1")
 // ---------------------------------------------------------------------
 
-/**
- * Emit a double with max_digits10 significant digits so the value a
- * resumed run parses back is bit-identical to the one recorded — the
- * summary CSV's figures must not drift through the journal round trip.
- */
-void
-jsonFullDouble(std::ostream &os, double v)
-{
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    std::ostringstream tmp;
-    tmp.precision(std::numeric_limits<double>::max_digits10);
-    tmp << v;
-    os << tmp.str();
-}
-
 /** The journal's header record: what produced it, under what options. */
 std::string
 journalHeaderPayload(const std::string &listFile, const BatchOptions &opts)
 {
     std::ostringstream os;
     os << "{\"schema\": \"mcpat-batch-journal-v1\", \"list\": \""
-       << jsonEscapeString(listFile) << "\", \"list_checksum\": \""
+       << common::jsonEscape(listFile) << "\", \"list_checksum\": \""
        << instr::fileChecksumHex(listFile) << "\", \"strict\": "
        << (opts.strict ? "true" : "false") << ", \"json\": "
        << (opts.writeJson ? "true" : "false") << ", \"csv\": "
@@ -325,41 +306,30 @@ journalHeaderPayload(const std::string &listFile, const BatchOptions &opts)
     return os.str();
 }
 
-/** One completed item as a single-line journal payload. */
+/**
+ * One completed item as a single-line journal payload.  Its figures
+ * are round-trip numbers, so a resumed run's summary CSV matches an
+ * uninterrupted run's bit for bit.
+ */
 std::string
 journalItemPayload(const BatchItemResult &item)
 {
     std::ostringstream os;
     os << "{\"type\": \"item\", \"name\": \""
-       << jsonEscapeString(item.name) << "\", \"input\": \""
-       << jsonEscapeString(item.input) << "\", \"ok\": "
+       << common::jsonEscape(item.name) << "\", \"input\": \""
+       << common::jsonEscape(item.input) << "\", \"ok\": "
        << (item.ok ? "true" : "false") << ", \"error\": \""
-       << jsonEscapeString(item.error) << "\", \"area\": ";
-    jsonFullDouble(os, item.area);
-    os << ", \"peak_w\": ";
-    jsonFullDouble(os, item.peakPower);
-    os << ", \"runtime_w\": ";
-    jsonFullDouble(os, item.runtimePower);
-    os << ", \"load_s\": ";
-    jsonFullDouble(os, item.loadSeconds);
-    os << ", \"assemble_s\": ";
-    jsonFullDouble(os, item.assembleSeconds);
-    os << ", \"report_s\": ";
-    jsonFullDouble(os, item.reportSeconds);
-    os << ", \"wall_s\": ";
-    jsonFullDouble(os, item.wallSeconds);
-    os << ", \"diagnostics\": [";
-    bool first = true;
-    for (const auto &d : item.diagnostics) {
-        os << (first ? "" : ", ") << "{\"severity\": \""
-           << severityName(d.severity) << "\", \"component\": \""
-           << jsonEscapeString(d.component) << "\", \"key\": \""
-           << jsonEscapeString(d.key) << "\", \"line\": " << d.line
-           << ", \"message\": \"" << jsonEscapeString(d.message)
-           << "\"}";
-        first = false;
-    }
-    os << "]}";
+       << common::jsonEscape(item.error)
+       << "\", \"area\": " << common::jsonNumber(item.area)
+       << ", \"peak_w\": " << common::jsonNumber(item.peakPower)
+       << ", \"runtime_w\": " << common::jsonNumber(item.runtimePower)
+       << ", \"load_s\": " << common::jsonNumber(item.loadSeconds)
+       << ", \"assemble_s\": " << common::jsonNumber(item.assembleSeconds)
+       << ", \"report_s\": " << common::jsonNumber(item.reportSeconds)
+       << ", \"wall_s\": " << common::jsonNumber(item.wallSeconds)
+       << ", \"diagnostics\": ";
+    writeDiagnosticsJsonLine(os, item.diagnostics);
+    os << "}";
     return os.str();
 }
 

@@ -15,6 +15,7 @@
 #include "chip/report_writer.hh"
 #include "common/cancel.hh"
 #include "common/instrument.hh"
+#include "common/json.hh"
 #include "common/serialize.hh"
 #include "config/xml_loader.hh"
 #include "config/xml_parser.hh"
@@ -47,7 +48,7 @@ evalManifestJson(const EvalResult &result, const std::string &source,
     std::ostringstream os;
     os << pad << "{\n"
        << pad << "  \"schema\": \"mcpat-eval-manifest-v1\",\n"
-       << pad << "  \"config\": \"" << jsonEscapeString(source)
+       << pad << "  \"config\": \"" << common::jsonEscape(source)
        << "\",\n"
        << pad << "  \"valid\": " << (result.ok ? "true" : "false")
        << ",\n"

@@ -27,7 +27,7 @@
 #include "common/diagnostics.hh"
 #include "common/event_log.hh"
 #include "common/instrument.hh"
-#include "common/json_value.hh"
+#include "common/json.hh"
 #include "common/net.hh"
 #include "common/parallel.hh"
 #include "study/eval_core.hh"
@@ -47,33 +47,15 @@ jsonNumber(std::ostream &os, double v)
         os << "null";
 }
 
-/** Compact (single-line) diagnostics array for response embedding. */
-std::string
-diagnosticsOneLine(const DiagnosticList &diags)
-{
-    std::ostringstream os;
-    os << "[";
-    const auto &items = diags.items();
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        const Diagnostic &d = items[i];
-        os << (i ? ", " : "") << "{\"severity\": \""
-           << severityName(d.severity) << "\", \"component\": \""
-           << jsonEscapeString(d.component) << "\", \"key\": \""
-           << jsonEscapeString(d.key) << "\", \"line\": " << d.line
-           << ", \"message\": \"" << jsonEscapeString(d.message)
-           << "\"}";
-    }
-    os << "]";
-    return os.str();
-}
-
 /** One located diagnostic as a compact array (malformed requests). */
 std::string
 requestDiagnostic(const std::string &message)
 {
     DiagnosticList diags;
     diags.add(Severity::Error, "server", "request", message);
-    return diagnosticsOneLine(diags);
+    std::ostringstream os;
+    writeDiagnosticsJsonLine(os, diags);
+    return os.str();
 }
 
 /** FNV-1a over a byte string (result-cache key material). */
@@ -448,7 +430,7 @@ struct EvalServer::Impl
             malformed.fetch_add(1, std::memory_order_relaxed);
             return "{\"status\": 400, \"ok\": false, \"error\": "
                    "\"malformed request: " +
-                   jsonEscapeString(parse_error) +
+                   common::jsonEscape(parse_error) +
                    "\", \"diagnostics\": " +
                    requestDiagnostic("request is not valid JSON: " +
                                      parse_error) +
@@ -592,7 +574,7 @@ struct EvalServer::Impl
         malformed.fetch_add(1, std::memory_order_relaxed);
         return "{\"status\": 400, \"ok\": false, \"error\": "
                "\"unknown cmd '" +
-               jsonEscapeString(cmd) + "'\", \"diagnostics\": " +
+               common::jsonEscape(cmd) + "'\", \"diagnostics\": " +
                requestDiagnostic("unknown cmd '" + cmd + "'") + "}\n";
     }
 
@@ -654,7 +636,7 @@ struct EvalServer::Impl
         std::ostringstream os;
         os << "{";
         if (!id.empty())
-            os << "\"id\": \"" << jsonEscapeString(id) << "\", ";
+            os << "\"id\": \"" << common::jsonEscape(id) << "\", ";
         os << "\"status\": " << status
            << ", \"ok\": " << (result.ok ? "true" : "false")
            << ", \"cached\": " << (hit ? "true" : "false");
@@ -663,7 +645,7 @@ struct EvalServer::Impl
                 timeouts.fetch_add(1, std::memory_order_relaxed);
             else
                 failed.fetch_add(1, std::memory_order_relaxed);
-            os << ", \"error\": \"" << jsonEscapeString(result.error)
+            os << ", \"error\": \"" << common::jsonEscape(result.error)
                << "\"";
             if (result.timedOut) {
                 os << ", \"timed_out\": true, \"timeout_ms\": ";
@@ -679,8 +661,8 @@ struct EvalServer::Impl
             jsonNumber(os, result.runtimePower);
         }
         if (!result.diagnostics.empty()) {
-            os << ", \"diagnostics\": "
-               << diagnosticsOneLine(result.diagnostics);
+            os << ", \"diagnostics\": ";
+            writeDiagnosticsJsonLine(os, result.diagnostics);
         }
         os << ", \"timing_ms\": {\"load\": "
            << 1e3 * result.loadSeconds
@@ -689,15 +671,15 @@ struct EvalServer::Impl
            << ", \"wall\": " << 1e3 * result.wallSeconds << "}";
         if (result.ok && !result.reportJson.empty()) {
             os << ", \"report\": \""
-               << jsonEscapeString(result.reportJson) << "\"";
+               << common::jsonEscape(result.reportJson) << "\"";
         }
         if (result.ok && !result.reportCsv.empty()) {
-            os << ", \"csv\": \"" << jsonEscapeString(result.reportCsv)
+            os << ", \"csv\": \"" << common::jsonEscape(result.reportCsv)
                << "\"";
         }
         if (!result.manifestJson.empty()) {
             os << ", \"manifest\": \""
-               << jsonEscapeString(result.manifestJson) << "\"";
+               << common::jsonEscape(result.manifestJson) << "\"";
         }
         os << "}\n";
         return os.str();

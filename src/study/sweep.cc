@@ -16,10 +16,9 @@
 
 #include "chip/processor.hh"
 #include "common/cancel.hh"
-#include "common/diagnostics.hh"
 #include "common/instrument.hh"
 #include "common/journal.hh"
-#include "common/json_value.hh"
+#include "common/json.hh"
 #include "common/parallel.hh"
 
 namespace mcpat {
@@ -100,31 +99,15 @@ bytesSuffix(double bytes)
 }
 
 /**
- * The max_digits10 round-trip representation of a double ("null" for
- * non-finite values).  Two finite doubles share a representation
- * exactly when they are equal, so *string* comparison of these is the
- * journal's value-identity test — immune to the non-finite values a
- * plain `==` on parsed numbers mishandles.
- */
-std::string
-roundTripRepr(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    std::ostringstream os;
-    os.precision(std::numeric_limits<double>::max_digits10);
-    os << v;
-    return os.str();
-}
-
-/**
  * Does the journal header's "work" member match this run's value?
  * A journaled null (the serialization of a non-finite work) matches
  * exactly the non-finite case; anything absent or non-numeric never
- * matches a finite value.  The old exact `double ==` against
- * JsonValue::getNumber() silently discarded valid journals whose work
- * was non-finite (null parses as the 0.0 default) — and, worse,
- * *falsely matched* them when the new run's work really was 0.0.
+ * matches a finite value; numbers match when their round-trip text
+ * (common::jsonNumber, what the header recorded) is equal.  The old
+ * exact `double ==` against JsonValue::getNumber() silently discarded
+ * valid journals whose work was non-finite (null parses as the 0.0
+ * default) — and, worse, *falsely matched* them when the new run's
+ * work really was 0.0.
  */
 bool
 journalWorkMatches(const common::JsonValue &hdr, double work)
@@ -136,15 +119,23 @@ journalWorkMatches(const common::JsonValue &hdr, double work)
         return !std::isfinite(work);
     if (!v->isNumber())
         return false;
-    return roundTripRepr(v->number) == roundTripRepr(work);
+    return common::jsonNumber(v->number) == common::jsonNumber(work);
 }
 
 } // namespace
 
 void
-writeSweepJsonNumber(std::ostream &os, double v)
+writeAggregatesJson(std::ostream &os, const DesignPointResult &r)
 {
-    os << roundTripRepr(v);
+    using common::jsonNumber;
+    os << "\"area\": " << jsonNumber(r.area)
+       << ", \"tdp\": " << jsonNumber(r.tdp)
+       << ", \"mean_throughput\": " << jsonNumber(r.meanThroughput)
+       << ", \"mean_power\": " << jsonNumber(r.meanPower)
+       << ", \"ed\": " << jsonNumber(r.meanMetrics.ed)
+       << ", \"ed2\": " << jsonNumber(r.meanMetrics.ed2)
+       << ", \"eda\": " << jsonNumber(r.meanMetrics.eda)
+       << ", \"ed2a\": " << jsonNumber(r.meanMetrics.ed2a);
 }
 
 SweepEvalStats
@@ -391,23 +382,9 @@ sweepItemPayload(const DesignPointResult &r)
 {
     std::ostringstream os;
     os << "{\"type\": \"point\", \"key\": \""
-       << jsonEscapeString(r.config.key()) << "\", \"label\": \""
-       << jsonEscapeString(r.config.label()) << "\", \"area\": ";
-    writeSweepJsonNumber(os, r.area);
-    os << ", \"tdp\": ";
-    writeSweepJsonNumber(os, r.tdp);
-    os << ", \"mean_throughput\": ";
-    writeSweepJsonNumber(os, r.meanThroughput);
-    os << ", \"mean_power\": ";
-    writeSweepJsonNumber(os, r.meanPower);
-    os << ", \"ed\": ";
-    writeSweepJsonNumber(os, r.meanMetrics.ed);
-    os << ", \"ed2\": ";
-    writeSweepJsonNumber(os, r.meanMetrics.ed2);
-    os << ", \"eda\": ";
-    writeSweepJsonNumber(os, r.meanMetrics.eda);
-    os << ", \"ed2a\": ";
-    writeSweepJsonNumber(os, r.meanMetrics.ed2a);
+       << common::jsonEscape(r.config.key()) << "\", \"label\": \""
+       << common::jsonEscape(r.config.label()) << "\", ";
+    writeAggregatesJson(os, r);
     os << "}";
     return os.str();
 }
@@ -463,9 +440,8 @@ evaluateDesignPoints(const std::vector<CaseStudyConfig> &configs,
         if (replay.empty()) {
             std::ostringstream hdr;
             hdr << "{\"schema\": \"mcpat-sweep-journal-v2\", "
-                   "\"work\": ";
-            writeSweepJsonNumber(hdr, work);
-            hdr << "}";
+                   "\"work\": "
+                << common::jsonNumber(work) << "}";
             journal.append(hdr.str());
         }
     }

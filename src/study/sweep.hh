@@ -173,10 +173,11 @@ SweepEvalStats sweepEvalStats();
 void resetSweepEvalStats();
 
 /**
- * Full-precision JSON number for sweep serialization: max_digits10,
- * null for non-finite values (the repo-wide rule).
+ * A design point's aggregate figures as JSON members, "area" through
+ * "ed2a", at round-trip precision (null when non-finite).  Shared by
+ * the sweep journal and the search frontier document.
  */
-void writeSweepJsonNumber(std::ostream &os, double v);
+void writeAggregatesJson(std::ostream &os, const DesignPointResult &r);
 
 /**
  * Print one design point's per-workload rows.  A replayed

@@ -14,7 +14,7 @@
 #include <set>
 #include <sstream>
 
-#include "common/diagnostics.hh"
+#include "common/json.hh"
 #include "common/instrument.hh"
 #include "common/logging.hh"
 #include "common/units.hh"
@@ -306,9 +306,9 @@ writeSweepSearchJson(std::ostream &os, const SweepSpace &space,
                      const SweepSearchResult &r, double work)
 {
     const auto d = space.dims();
-    os << "{\n  \"schema\": \"mcpat-sweep-search-v1\",\n  \"work\": ";
-    writeSweepJsonNumber(os, work);
-    os << ",\n  \"node_nm\": " << space.nodeNm
+    os << "{\n  \"schema\": \"mcpat-sweep-search-v1\",\n  \"work\": "
+       << common::jsonNumber(work)
+       << ",\n  \"node_nm\": " << space.nodeNm
        << ",\n  \"total_cores\": " << space.totalCores
        << ",\n  \"dims\": [" << d[0] << ", " << d[1] << ", " << d[2]
        << ", " << d[3] << "]"
@@ -320,24 +320,10 @@ writeSweepSearchJson(std::ostream &os, const SweepSpace &space,
         const SweepSearchPoint &p = r.points[i];
         const DesignPointResult &res = p.result;
         os << (i ? "," : "") << "\n    {\"index\": " << p.index
-           << ", \"key\": \"" << jsonEscapeString(res.config.key())
+           << ", \"key\": \"" << common::jsonEscape(res.config.key())
            << "\", \"label\": \""
-           << jsonEscapeString(res.config.label()) << "\", \"area\": ";
-        writeSweepJsonNumber(os, res.area);
-        os << ", \"tdp\": ";
-        writeSweepJsonNumber(os, res.tdp);
-        os << ", \"mean_throughput\": ";
-        writeSweepJsonNumber(os, res.meanThroughput);
-        os << ", \"mean_power\": ";
-        writeSweepJsonNumber(os, res.meanPower);
-        os << ", \"ed\": ";
-        writeSweepJsonNumber(os, res.meanMetrics.ed);
-        os << ", \"ed2\": ";
-        writeSweepJsonNumber(os, res.meanMetrics.ed2);
-        os << ", \"eda\": ";
-        writeSweepJsonNumber(os, res.meanMetrics.eda);
-        os << ", \"ed2a\": ";
-        writeSweepJsonNumber(os, res.meanMetrics.ed2a);
+           << common::jsonEscape(res.config.label()) << "\", ";
+        writeAggregatesJson(os, res);
         os << ", \"aggregates_only\": "
            << (res.aggregatesOnly ? "true" : "false") << "}";
     }

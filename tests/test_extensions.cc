@@ -289,11 +289,6 @@ sampleReport()
 
 } // namespace
 
-TEST(ReportWriter, JsonEscaping)
-{
-    EXPECT_EQ(chip::jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-}
-
 TEST(ReportWriter, JsonStructure)
 {
     std::ostringstream os;

@@ -7,29 +7,17 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <functional>
 
 #include "chip/processor.hh"
 #include "config/xml_loader.hh"
 #include "perf/activity_gen.hh"
 #include "study/sweep.hh"
+#include "test_paths.hh"
 
 using namespace mcpat;
 
 namespace {
-
-std::string
-findConfig(const std::string &name)
-{
-    for (const std::string prefix :
-         {"configs/", "../configs/", "../../configs/"}) {
-        const std::string path = prefix + name;
-        if (std::ifstream(path).good())
-            return path;
-    }
-    throw ConfigError("cannot find configs/" + name);
-}
 
 /** Recursively verify parent totals cover their children. */
 void
@@ -63,7 +51,7 @@ class ConfigIntegrationTest
 TEST_P(ConfigIntegrationTest, LoadsBuildsAndReports)
 {
     const auto loaded =
-        config::loadSystemParamsFromFile(findConfig(GetParam()));
+        config::loadSystemParamsFromFile(configPath(GetParam()));
     EXPECT_TRUE(loaded.warnings.empty());
 
     const chip::Processor proc(loaded.system);
@@ -76,7 +64,7 @@ TEST_P(ConfigIntegrationTest, LoadsBuildsAndReports)
 TEST_P(ConfigIntegrationTest, ReportTreeConsistent)
 {
     const auto loaded =
-        config::loadSystemParamsFromFile(findConfig(GetParam()));
+        config::loadSystemParamsFromFile(configPath(GetParam()));
     const chip::Processor proc(loaded.system);
     checkTreeConsistency(proc.tdpReport());
 }
@@ -84,7 +72,7 @@ TEST_P(ConfigIntegrationTest, ReportTreeConsistent)
 TEST_P(ConfigIntegrationTest, ScaledStatsScaleRuntimePower)
 {
     const auto loaded =
-        config::loadSystemParamsFromFile(findConfig(GetParam()));
+        config::loadSystemParamsFromFile(configPath(GetParam()));
     const chip::Processor proc(loaded.system);
 
     stats::ChipStats low = stats::ChipStats::tdp(loaded.system);
@@ -138,7 +126,7 @@ TEST(Integration, PerfToChipPowerPipeline)
 TEST(Integration, DvfsReducesChipPower)
 {
     auto loaded =
-        config::loadSystemParamsFromFile(findConfig("niagara.xml"));
+        config::loadSystemParamsFromFile(configPath("niagara.xml"));
     const chip::Processor nominal(loaded.system);
 
     auto scaled = loaded.system;
@@ -152,7 +140,7 @@ TEST(Integration, DvfsReducesChipPower)
 TEST(Integration, ConservativeWiresSlowTheCore)
 {
     auto loaded =
-        config::loadSystemParamsFromFile(findConfig("niagara.xml"));
+        config::loadSystemParamsFromFile(configPath("niagara.xml"));
     const chip::Processor agg(loaded.system);
 
     auto cons = loaded.system;
@@ -165,7 +153,7 @@ TEST(Integration, ConservativeWiresSlowTheCore)
 TEST(Integration, TemperatureRaisesLeakageOnly)
 {
     auto loaded =
-        config::loadSystemParamsFromFile(findConfig("niagara2.xml"));
+        config::loadSystemParamsFromFile(configPath("niagara2.xml"));
     auto cool_sys = loaded.system;
     cool_sys.temperature = 320.0;
     const chip::Processor hot(loaded.system);   // 360 K

@@ -9,31 +9,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <fstream>
 #include <vector>
 
 #include "array/array_cache.hh"
 #include "array/array_model.hh"
+#include "chip/component_memo.hh"
 #include "chip/processor.hh"
 #include "common/parallel.hh"
 #include "config/xml_loader.hh"
 #include "study/sweep.hh"
+#include "test_paths.hh"
 
 using namespace mcpat;
 
 namespace {
-
-std::string
-findConfig(const std::string &name)
-{
-    for (const std::string prefix :
-         {"configs/", "../configs/", "../../configs/"}) {
-        std::ifstream f(prefix + name);
-        if (f.good())
-            return prefix + name;
-    }
-    throw ConfigError("cannot find configs/" + name);
-}
 
 /** RAII guard: pin the thread count, restore the default afterwards. */
 struct ThreadCountGuard
@@ -42,12 +31,18 @@ struct ThreadCountGuard
     ~ThreadCountGuard() { parallel::setThreadCount(0); }
 };
 
-/** RAII guard: force the array cache on/off, restore + clear after. */
+/**
+ * RAII guard: force the array cache on/off, restore + clear after.
+ * The component memo above it is cleared too: a chip an earlier test
+ * built would otherwise be served whole, with no array solves to
+ * count.
+ */
 struct CacheGuard
 {
     explicit CacheGuard(bool on)
         : previous(array::ArrayResultCache::instance().enabled())
     {
+        chip::ComponentMemo::instance().clear();
         array::ArrayResultCache::instance().clear();
         array::ArrayResultCache::instance().setEnabled(on);
     }
@@ -55,6 +50,7 @@ struct CacheGuard
     {
         array::ArrayResultCache::instance().setEnabled(previous);
         array::ArrayResultCache::instance().clear();
+        chip::ComponentMemo::instance().clear();
     }
     bool previous;
 };
@@ -144,7 +140,7 @@ TEST(ParallelFor, ThreadCountOverride)
 TEST(Determinism, NiagaraSerialVsParallelBitIdentical)
 {
     const auto loaded =
-        config::loadSystemParamsFromFile(findConfig("niagara.xml"));
+        config::loadSystemParamsFromFile(configPath("niagara.xml"));
 
     Report serial, parallel_rep;
     {

@@ -30,23 +30,12 @@
 #include "study/batch.hh"
 #include "study/eval_core.hh"
 #include "study/sweep.hh"
+#include "test_paths.hh"
 
 using namespace mcpat;
 namespace fs = std::filesystem;
 
 namespace {
-
-std::string
-findConfig(const std::string &name)
-{
-    for (const std::string prefix :
-         {"configs/", "../configs/", "../../configs/"}) {
-        std::ifstream f(prefix + name);
-        if (f.good())
-            return fs::absolute(prefix + name).string();
-    }
-    throw ConfigError("cannot find configs/" + name);
-}
 
 fs::path
 scratchDir(const std::string &tag)
@@ -258,7 +247,7 @@ TEST(CancelToken, AmbientCheckpointUsesTheInstalledToken)
 TEST(EvalDeadline, BlownBudgetComesBackAsStructuredTimeout)
 {
     study::EvalRequest req;
-    req.configPath = findConfig("niagara.xml");
+    req.configPath = configPath("niagara.xml");
     req.timeoutMs = 1e-6;  // armed, and already elapsed at first check
     const study::EvalResult res = study::evaluate(req);
     EXPECT_FALSE(res.ok);
@@ -272,7 +261,7 @@ TEST(EvalDeadline, GlobalStopComesBackAsInterrupt)
 {
     cancel::requestStop(SIGINT);
     study::EvalRequest req;
-    req.configPath = findConfig("niagara.xml");
+    req.configPath = configPath("niagara.xml");
     const study::EvalResult res = study::evaluate(req);
     cancel::clearStop();
     EXPECT_FALSE(res.ok);
@@ -292,7 +281,7 @@ niagaraEval()
 {
     static const study::EvalResult res = [] {
         study::EvalRequest req;
-        req.configPath = findConfig("niagara.xml");
+        req.configPath = configPath("niagara.xml");
         req.wantReportJson = false;
         return study::evaluate(req);
     }();
@@ -399,7 +388,7 @@ TEST(InvariantAudit, StrictModeEscalatesSeededViolations)
     // Strict single evaluations must fail when the audit reports
     // anything; a clean shipped config must still pass strict.
     study::EvalRequest req;
-    req.configPath = findConfig("niagara.xml");
+    req.configPath = configPath("niagara.xml");
     req.strict = true;
     req.wantReportJson = false;
     const study::EvalResult res = study::evaluate(req);
@@ -414,7 +403,7 @@ TEST(BatchResume, ReplaysJournaledItemsByteIdentically)
 {
     const fs::path dir = scratchDir("resume");
     const std::string list = writeList(dir,
-        {findConfig("niagara.xml"), findConfig("alpha21364.xml")});
+        {configPath("niagara.xml"), configPath("alpha21364.xml")});
 
     study::BatchOptions opts;
     opts.outputDir = (dir / "out").string();
@@ -471,7 +460,7 @@ TEST(BatchResume, ReplaysJournaledItemsByteIdentically)
 TEST(BatchResume, MismatchedJournalHeaderStartsFresh)
 {
     const fs::path dir = scratchDir("resume_mismatch");
-    const std::string list = writeList(dir, {findConfig("niagara.xml")});
+    const std::string list = writeList(dir, {configPath("niagara.xml")});
 
     study::BatchOptions opts;
     opts.outputDir = (dir / "out").string();
@@ -483,7 +472,7 @@ TEST(BatchResume, MismatchedJournalHeaderStartsFresh)
     // matches, so -resume must ignore it rather than replay stale
     // results against a different input set.
     const std::string list2 = writeList(dir,
-        {findConfig("niagara.xml"), findConfig("alpha21364.xml")});
+        {configPath("niagara.xml"), configPath("alpha21364.xml")});
     study::BatchOptions resumeOpts = opts;
     resumeOpts.resume = true;
     std::ostringstream log2;
@@ -498,7 +487,7 @@ TEST(BatchResume, TimedOutItemFailsButTheBatchContinues)
 {
     const fs::path dir = scratchDir("timeout");
     const std::string list = writeList(dir,
-        {findConfig("niagara.xml"), findConfig("alpha21364.xml")});
+        {configPath("niagara.xml"), configPath("alpha21364.xml")});
 
     study::BatchOptions opts;
     opts.outputDir = (dir / "out").string();
@@ -521,7 +510,7 @@ TEST(BatchResume, PendingStopInterruptsBeforeTheNextItem)
 {
     const fs::path dir = scratchDir("interrupt");
     const std::string list = writeList(dir,
-        {findConfig("niagara.xml"), findConfig("alpha21364.xml")});
+        {configPath("niagara.xml"), configPath("alpha21364.xml")});
 
     study::BatchOptions opts;
     opts.outputDir = (dir / "out").string();
@@ -739,8 +728,8 @@ TEST(BatchResume, SigkilledRunResumesToByteIdenticalOutput)
 {
     const fs::path dir = scratchDir("sigkill");
     const std::string list = writeList(dir,
-        {findConfig("niagara.xml"), findConfig("alpha21364.xml"),
-         findConfig("xeon_tulsa.xml")});
+        {configPath("niagara.xml"), configPath("alpha21364.xml"),
+         configPath("xeon_tulsa.xml")});
     const std::string outKilled = (dir / "killed").string();
     const std::string outFresh = (dir / "fresh").string();
 

@@ -1,10 +1,9 @@
 /**
  * @file
- * Evaluation-server tests: the JSON request parser, the shared eval
- * core, and the `-serve` daemon — concurrent requests byte-identical
- * to single-shot output, structured overload rejection, and malformed
- * or invalid requests failing their own reply while the server keeps
- * serving.
+ * Evaluation-server tests: the shared eval core and the `-serve`
+ * daemon — concurrent requests byte-identical to single-shot output,
+ * structured overload rejection, and malformed or invalid requests
+ * failing their own reply while the server keeps serving.
  */
 
 #include <gtest/gtest.h>
@@ -21,29 +20,17 @@
 
 #include "common/diagnostics.hh"
 #include "common/instrument.hh"
-#include "common/json_check.hh"
-#include "common/json_value.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/net.hh"
 #include "study/eval_core.hh"
 #include "study/server.hh"
+#include "test_paths.hh"
 
 using namespace mcpat;
 namespace fs = std::filesystem;
 
 namespace {
-
-std::string
-findConfig(const std::string &name)
-{
-    for (const std::string prefix :
-         {"configs/", "../configs/", "../../configs/"}) {
-        std::ifstream f(prefix + name);
-        if (f.good())
-            return fs::absolute(prefix + name).string();
-    }
-    throw ConfigError("cannot find configs/" + name);
-}
 
 /** Short unique Unix socket path (sun_path caps at ~107 chars). */
 std::string
@@ -100,62 +87,13 @@ struct TestServer
 } // namespace
 
 // ---------------------------------------------------------------------
-// JSON request parser.
-// ---------------------------------------------------------------------
-
-TEST(JsonValue, ParsesScalarsContainersAndEscapes)
-{
-    common::JsonValue v;
-    std::string err;
-    ASSERT_TRUE(common::jsonParse(
-        "{\"a\": 1.5e2, \"b\": [true, null, \"x\\n\\u0041\"], "
-        "\"c\": {\"d\": -3}}",
-        v, &err)) << err;
-    EXPECT_DOUBLE_EQ(v.getNumber("a"), 150.0);
-    const common::JsonValue *b = v.find("b");
-    ASSERT_NE(b, nullptr);
-    ASSERT_EQ(b->array.size(), 3u);
-    EXPECT_TRUE(b->array[0].boolean);
-    EXPECT_TRUE(b->array[1].isNull());
-    EXPECT_EQ(b->array[2].str, "x\nA");
-    ASSERT_NE(v.find("c"), nullptr);
-    EXPECT_DOUBLE_EQ(v.find("c")->getNumber("d"), -3.0);
-}
-
-TEST(JsonValue, RejectsMalformedDocuments)
-{
-    common::JsonValue v;
-    std::string err;
-    for (const char *bad :
-         {"", "{", "[1,]", "{\"a\" 1}", "nul", "1 2", "{\"a\": 01}",
-          "\"unterminated", "{\"a\": NaN}"}) {
-        EXPECT_FALSE(common::jsonParse(bad, v, &err)) << bad;
-        EXPECT_FALSE(err.empty());
-    }
-}
-
-TEST(JsonValue, RoundTripsEscapedReportDocuments)
-{
-    // The server embeds multi-line report documents as JSON strings;
-    // escaping then parsing must reproduce the bytes exactly.
-    const std::string doc =
-        "{\n  \"name\": \"x\",\n  \"t\": \"a\\tb\"\n}\n";
-    const std::string wrapped =
-        "{\"report\": \"" + jsonEscapeString(doc) + "\"}";
-    common::JsonValue v;
-    std::string err;
-    ASSERT_TRUE(common::jsonParse(wrapped, v, &err)) << err;
-    EXPECT_EQ(v.getString("report"), doc);
-}
-
-// ---------------------------------------------------------------------
 // Eval core.
 // ---------------------------------------------------------------------
 
 TEST(EvalCore, EvaluatesShippedConfigWithRenderedArtifacts)
 {
     study::EvalRequest req;
-    req.configPath = findConfig("niagara.xml");
+    req.configPath = configPath("niagara.xml");
     req.wantReportCsv = true;
     req.wantManifest = true;
     const study::EvalResult res = study::evaluate(req);
@@ -163,15 +101,16 @@ TEST(EvalCore, EvaluatesShippedConfigWithRenderedArtifacts)
     EXPECT_GT(res.area, 0.0);
     EXPECT_GT(res.peakPower, 0.0);
     std::string err;
-    EXPECT_TRUE(common::jsonValid(res.reportJson, &err)) << err;
-    EXPECT_TRUE(common::jsonValid(res.manifestJson, &err)) << err;
+    common::JsonValue doc;
+    EXPECT_TRUE(common::jsonParse(res.reportJson, doc, &err)) << err;
+    EXPECT_TRUE(common::jsonParse(res.manifestJson, doc, &err)) << err;
     EXPECT_NE(res.reportCsv.find("path,area_mm2"), std::string::npos);
     EXPECT_GT(res.wallSeconds, 0.0);
 }
 
 TEST(EvalCore, InlineXmlMatchesFileEvaluation)
 {
-    const std::string path = findConfig("niagara.xml");
+    const std::string path = configPath("niagara.xml");
     std::ifstream in(path);
     std::stringstream ss;
     ss << in.rdbuf();
@@ -238,7 +177,7 @@ TEST(Server, PingStatsAndShutdown)
 
 TEST(Server, ConcurrentRequestsByteIdenticalToSingleShot)
 {
-    const std::string config = findConfig("niagara.xml");
+    const std::string config = configPath("niagara.xml");
 
     // The reference: what the single-shot CLI's -json writes.
     study::EvalRequest ref_req;
@@ -371,20 +310,19 @@ TEST(Server, MalformedRequestYieldsDiagnosticAndServerKeepsServing)
 
 TEST(Server, InlineXmlRequestAndManifest)
 {
-    const std::string path = findConfig("niagara.xml");
+    const std::string path = configPath("niagara.xml");
     std::ifstream in(path);
     std::stringstream ss;
     ss << in.rdbuf();
 
     TestServer ts(2);
     const std::string request = "{\"config_xml\": \"" +
-        jsonEscapeString(ss.str()) + "\", \"manifest\": true}";
+        common::jsonEscape(ss.str()) + "\", \"manifest\": true}";
     common::JsonValue v = rpc(ts.ep, request);
     EXPECT_EQ(v.getNumber("status"), 200.0);
     const std::string manifest = v.getString("manifest");
     ASSERT_FALSE(manifest.empty());
     std::string error;
-    EXPECT_TRUE(common::jsonValid(manifest, &error)) << error;
     common::JsonValue m;
     ASSERT_TRUE(common::jsonParse(manifest, m, &error)) << error;
     EXPECT_EQ(m.getString("schema"), "mcpat-eval-manifest-v1");
@@ -407,12 +345,12 @@ TEST(Server, ResultCacheRepeatsVerbatimAndInvalidatesOnEdit)
         (fs::temp_directory_path() /
          ("mcpat_rc_" + std::to_string(::getpid()) + ".xml"))
             .string();
-    fs::copy_file(findConfig("niagara.xml"), copy,
+    fs::copy_file(configPath("niagara.xml"), copy,
                   fs::copy_options::overwrite_existing);
 
     TestServer ts(2);
     const std::string req =
-        "{\"config\": \"" + jsonEscapeString(copy) + "\"}";
+        "{\"config\": \"" + common::jsonEscape(copy) + "\"}";
 
     common::JsonValue first = rpc(ts.ep, req);
     ASSERT_EQ(first.getNumber("status"), 200.0);
@@ -441,14 +379,14 @@ TEST(Server, ResultCacheRepeatsVerbatimAndInvalidatesOnEdit)
 
 TEST(Server, BlownDeadlineIsA504AndTheServerKeepsServing)
 {
-    const std::string config = findConfig("niagara.xml");
+    const std::string config = configPath("niagara.xml");
     TestServer ts(2);
 
     // A request-side budget that has already elapsed by the first
     // cancellation checkpoint: the reply must be a structured 504 —
     // not a dropped connection, not a dead worker.
     const std::string request = "{\"config\": \"" +
-        jsonEscapeString(config) + "\", \"timeout_ms\": 0.000001}";
+        common::jsonEscape(config) + "\", \"timeout_ms\": 0.000001}";
     common::JsonValue v = rpc(ts.ep, request);
     EXPECT_EQ(v.getNumber("status"), 504.0);
     EXPECT_FALSE(v.getBool("ok", true));
@@ -457,7 +395,7 @@ TEST(Server, BlownDeadlineIsA504AndTheServerKeepsServing)
 
     // The same server still answers full evaluations afterwards.
     common::JsonValue good = rpc(ts.ep,
-        "{\"config\": \"" + jsonEscapeString(config) + "\"}");
+        "{\"config\": \"" + common::jsonEscape(config) + "\"}");
     EXPECT_EQ(good.getNumber("status"), 200.0);
 
     const study::ServerStats stats = ts.server.stats();
@@ -469,15 +407,15 @@ TEST(Server, ServerDefaultTimeoutTightenedByRequest)
 {
     // Server-wide budget small: an untagged request times out; a
     // request cannot *loosen* the server's policy with a larger value.
-    const std::string config = findConfig("niagara.xml");
+    const std::string config = configPath("niagara.xml");
     TestServer ts(1, 32, false, /*eval_timeout_ms=*/0.000001);
 
     common::JsonValue v = rpc(ts.ep,
-        "{\"config\": \"" + jsonEscapeString(config) + "\"}");
+        "{\"config\": \"" + common::jsonEscape(config) + "\"}");
     EXPECT_EQ(v.getNumber("status"), 504.0);
 
     common::JsonValue loosened = rpc(ts.ep,
-        "{\"config\": \"" + jsonEscapeString(config) +
+        "{\"config\": \"" + common::jsonEscape(config) +
         "\", \"timeout_ms\": 600000}");
     EXPECT_EQ(loosened.getNumber("status"), 504.0);
 }

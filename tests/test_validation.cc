@@ -9,11 +9,11 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <ostream>
 
 #include "chip/processor.hh"
 #include "config/xml_loader.hh"
+#include "test_paths.hh"
 
 using namespace mcpat;
 
@@ -38,24 +38,11 @@ PrintTo(const Published &pub, std::ostream *os)
     *os << pub.file;
 }
 
-std::string
-findConfig(const std::string &name)
-{
-    for (const std::string prefix :
-         {"configs/", "../configs/", "../../configs/"}) {
-        const std::string path = prefix + name;
-        if (std::ifstream(path).good())
-            return path;
-    }
-    throw ConfigError("cannot find configs/" + name +
-                      " (run tests from the repo root or build tree)");
-}
-
 chip::Processor
 build(const char *file)
 {
     auto loaded =
-        config::loadSystemParamsFromFile(findConfig(file));
+        config::loadSystemParamsFromFile(configPath(file));
     EXPECT_TRUE(loaded.warnings.empty()) << file;
     return chip::Processor(loaded.system);
 }

@@ -31,22 +31,11 @@
 #include "common/strict_parse.hh"
 #include "config/xml_loader.hh"
 #include "study/batch.hh"
+#include "test_paths.hh"
 
 using namespace mcpat;
 
 namespace {
-
-std::string
-findConfig(const std::string &name)
-{
-    for (const std::string prefix :
-         {"configs/", "../configs/", "../../configs/"}) {
-        std::ifstream f(prefix + name);
-        if (f.good())
-            return prefix + name;
-    }
-    throw ConfigError("cannot find configs/" + name);
-}
 
 std::string
 slurpFile(const std::string &path)
@@ -190,7 +179,7 @@ class FaultInjection : public ::testing::TestWithParam<const char *>
 /** Unmodified shipped configs must pass the whole pipeline silently. */
 TEST_P(FaultInjection, PristineConfigLoadsWithoutDiagnostics)
 {
-    const std::string text = slurpFile(findConfig(GetParam()));
+    const std::string text = slurpFile(configPath(GetParam()));
     const config::XmlNode root = config::parseXmlString(text);
     const config::LoadResult loaded = config::loadSystemParams(root);
     EXPECT_TRUE(loaded.diagnostics.empty()) << GetParam();
@@ -201,7 +190,7 @@ TEST_P(FaultInjection, PristineConfigLoadsWithoutDiagnostics)
 
 TEST_P(FaultInjection, GarbageTokenRejectedWithLocation)
 {
-    const std::string text = slurpFile(findConfig(GetParam()));
+    const std::string text = slurpFile(configPath(GetParam()));
     for (const FieldSite &s : findFieldSites(text)) {
         std::string mutant = text;
         mutant.replace(s.valueBegin, s.valueLen, "@#garbage");
@@ -211,7 +200,7 @@ TEST_P(FaultInjection, GarbageTokenRejectedWithLocation)
 
 TEST_P(FaultInjection, TrailingJunkRejectedWithLocation)
 {
-    const std::string text = slurpFile(findConfig(GetParam()));
+    const std::string text = slurpFile(configPath(GetParam()));
     for (const FieldSite &s : findFieldSites(text)) {
         std::string mutant = text;
         mutant.insert(s.valueBegin + s.valueLen, "kb");
@@ -221,7 +210,7 @@ TEST_P(FaultInjection, TrailingJunkRejectedWithLocation)
 
 TEST_P(FaultInjection, OutOfRangeValueRejectedWithLocation)
 {
-    const std::string text = slurpFile(findConfig(GetParam()));
+    const std::string text = slurpFile(configPath(GetParam()));
     for (const FieldSite &s : findFieldSites(text)) {
         std::string mutant = text;
         mutant.replace(s.valueBegin, s.valueLen, "-999999");
@@ -236,7 +225,7 @@ TEST_P(FaultInjection, OutOfRangeValueRejectedWithLocation)
  */
 TEST_P(FaultInjection, RemovedFieldHandledGracefully)
 {
-    const std::string text = slurpFile(findConfig(GetParam()));
+    const std::string text = slurpFile(configPath(GetParam()));
     for (const FieldSite &s : findFieldSites(text)) {
         std::string mutant = text;
         mutant.replace(s.elemBegin, s.elemLen, "");
@@ -260,7 +249,7 @@ TEST_P(FaultInjection, RemovedFieldHandledGracefully)
 /** Required keys produce diagnostics that name them when absent. */
 TEST(FaultInjectionRequired, MissingRequiredKeysAreNamed)
 {
-    const std::string text = slurpFile(findConfig("niagara.xml"));
+    const std::string text = slurpFile(configPath("niagara.xml"));
     for (const char *key : {"technology_node", "core_count"}) {
         const auto sites = findFieldSites(text);
         for (const FieldSite &s : sites) {
@@ -294,7 +283,7 @@ TEST(FaultInjectionSites, EveryShippedFieldFound)
         {"alpha21364.xml", 62},    {"xeon_tulsa.xml", 66},
         {"manycore_22nm.xml", 40}, {"niagara_runtime.xml", 55}};
     for (const auto &[config, count] : expected) {
-        const std::string text = slurpFile(findConfig(config));
+        const std::string text = slurpFile(configPath(config));
         const std::vector<FieldSite> sites = findFieldSites(text);
         EXPECT_EQ(sites.size(), count) << config;
         for (const FieldSite &s : sites) {
@@ -573,7 +562,7 @@ TEST(Diagnostics, CrossFieldWarningIsAdvisoryNotFatal)
     // alpha21364 ships commit_width 8 > issue_width 6 by design; the
     // pass must flag it as a warning and still validate.
     const auto loaded = config::loadSystemParamsFromFile(
-        findConfig("alpha21364.xml"));
+        configPath("alpha21364.xml"));
     const DiagnosticList cross = loaded.system.check();
     EXPECT_FALSE(cross.hasErrors());
     bool saw_commit = false;
@@ -586,7 +575,7 @@ TEST(Diagnostics, CrossFieldWarningIsAdvisoryNotFatal)
 TEST(Diagnostics, CacheGeometryMismatchIsError)
 {
     auto loaded =
-        config::loadSystemParamsFromFile(findConfig("niagara.xml"));
+        config::loadSystemParamsFromFile(configPath("niagara.xml"));
     // 768 KB over 64 B blocks x 11 ways is not a whole set count.
     loaded.system.l2.assoc = 11;
     const DiagnosticList cross = loaded.system.check();
@@ -613,7 +602,7 @@ TEST(BatchDiagnostics, FailingInputGetsSidecarReports)
 )";
     std::ofstream(dir / "list.txt")
         << (dir / "bad.xml").string() << "\n"
-        << fs::absolute(findConfig("niagara.xml")).string() << "\n";
+        << fs::absolute(configPath("niagara.xml")).string() << "\n";
 
     study::BatchOptions opts;
     opts.outputDir = (dir / "out").string();
